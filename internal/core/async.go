@@ -187,24 +187,28 @@ func shrinkCap[T any](s []T) []T {
 
 // pendingTxAsync is a published transaction awaiting network propagation.
 // Under a fault model, visibleAt is the earliest delivery over all observers
-// (entry into the global tangle); pubSeq/pubTime key the model's per-link
-// delivery draws so each observer's view reveals the transaction at its own
-// link's delivery time.
+// (entry into the global tangle), linkVisibleAt[i] is the delivery time to
+// clients[i], computed once at publish, and pubSeq/pubTime key the model's
+// per-link delivery draws.
 type pendingTxAsync struct {
-	visibleAt float64
-	issuer    int
-	parents   []dag.ID
-	params    []float64
-	meta      dag.Meta
-	pubSeq    int
-	pubTime   float64
+	visibleAt     float64
+	issuer        int
+	parents       []dag.ID
+	params        []float64
+	meta          dag.Meta
+	pubSeq        int
+	pubTime       float64
+	linkVisibleAt []float64
 }
 
-// txDelivery is the per-transaction metadata the fault model needs to
-// recompute any link's delivery: the publish sequence number and time.
+// txDelivery is a tangle transaction's publish metadata under a fault model.
+// pubSeq and pubTime are what checkpoints store: the per-observer delivery
+// times are a pure function of them. linkVisibleAt[i] is the time clients[i]'s
+// view reveals the transaction; it is nil once every view has revealed it.
 type txDelivery struct {
-	pubSeq  int
-	pubTime float64
+	pubSeq        int
+	pubTime       float64
+	linkVisibleAt []float64
 }
 
 // asyncClient is the in-simulation state of one event-driven participant.
@@ -249,9 +253,13 @@ type AsyncSimulation struct {
 	// compFloor tracks the tangle's live floor so eval caches are rebased
 	// exactly once per floor advance.
 	compFloor dag.ID
-	// txInfo maps tangle transactions to their publish metadata so views can
-	// recompute per-observer delivery times. Only populated when net != nil.
+	// txInfo maps tangle transactions to their publish metadata and the
+	// per-observer delivery times the views reveal them at. Only populated
+	// when net != nil.
 	txInfo map[dag.ID]txDelivery
+	// released is the ID below which every view has revealed every
+	// transaction, so txInfo holds no delivery times there.
+	released dag.ID
 	// Communication counters (net != nil only).
 	deliveries           int
 	droppedDeliveries    int
@@ -369,7 +377,7 @@ func (a *AsyncSimulation) flush(now float64) {
 				panic(fmt.Sprintf("core: async publish failed: %v", err))
 			}
 			if a.net != nil {
-				a.txInfo[tx.ID] = txDelivery{pubSeq: p.pubSeq, pubTime: p.pubTime}
+				a.txInfo[tx.ID] = txDelivery{pubSeq: p.pubSeq, pubTime: p.pubTime, linkVisibleAt: p.linkVisibleAt}
 			}
 		} else {
 			kept = append(kept, p)
@@ -422,6 +430,32 @@ func (a *AsyncSimulation) finish() {
 	a.done = true
 }
 
+// release drops the delivery times of transactions every view has revealed:
+// RevealWhere never consults them again, so stored times track in-flight
+// transactions rather than the tangle's size.
+func (a *AsyncSimulation) release() {
+	floor := a.clients[0].view.VisiblePrefix()
+	for _, c := range a.clients[1:] {
+		floor = min(floor, c.view.VisiblePrefix())
+	}
+	for ; a.released < floor; a.released++ {
+		if info, ok := a.txInfo[a.released]; ok {
+			info.linkVisibleAt = nil
+			a.txInfo[a.released] = info
+		}
+	}
+}
+
+// linkVisibleAt returns the delivery time of publish #pubSeq, issued by
+// issuer at pubTime, to each client in order.
+func (a *AsyncSimulation) linkVisibleAt(pubSeq, issuer int, pubTime float64) []float64 {
+	times := make([]float64, len(a.clients))
+	for i, o := range a.clients {
+		times[i] = a.net.Deliver(pubSeq, issuer, o.id, pubTime).VisibleAt
+	}
+	return times
+}
+
 // step processes the next scheduled client activation. It returns the event
 // detail, or nil when the simulated time horizon is exhausted.
 func (a *AsyncSimulation) step() *AsyncEvent {
@@ -457,8 +491,9 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 
 	// Under a fault model each client walks its own partial view, revealed at
 	// the times its links actually deliver (jitter, re-gossip after drops,
-	// partition deferral). Delivery times are pure functions of the model, so
-	// the monotone reveal reconstructs identically after a resume.
+	// partition deferral), as computed at publish. Delivery times are pure
+	// functions of the model, so the monotone reveal reconstructs
+	// identically after a resume.
 	var graph tipselect.Graph = a.tangle
 	if a.net != nil {
 		c.view.RevealWhere(func(tx *dag.Transaction) bool {
@@ -466,8 +501,9 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 			if !ok {
 				return true // genesis: visible to everyone from the start
 			}
-			return a.net.Deliver(info.pubSeq, tx.Issuer, c.id, info.pubTime).VisibleAt <= ev.at
+			return info.linkVisibleAt[ev.client] <= ev.at
 		})
+		a.release()
 		graph = c.view
 	}
 
@@ -512,9 +548,11 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 			p.pubSeq = a.pubSeq
 			p.pubTime = ev.at
 			a.pubSeq++
+			p.linkVisibleAt = make([]float64, len(a.clients))
 			minVis := math.Inf(1)
-			for _, o := range a.clients {
+			for i, o := range a.clients {
 				d := a.net.Deliver(p.pubSeq, c.id, o.id, ev.at)
+				p.linkVisibleAt[i] = d.VisibleAt
 				if d.VisibleAt < minVis {
 					minVis = d.VisibleAt
 				}

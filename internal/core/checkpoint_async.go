@@ -375,17 +375,20 @@ func ResumeAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig, r io.Reader
 	a.done = st.Done
 	if a.net != nil {
 		// The model itself was rebuilt by the constructor (a pure function of
-		// the schedule); restore the publish metadata and counters, and point
-		// the partial views at the restored tangle. Reveal state reconstructs
-		// lazily — delivery times are pure, so the monotone predicate reveals
-		// exactly the set the uninterrupted run had accumulated.
+		// the schedule); restore the publish metadata and counters, recompute
+		// the per-observer delivery times from it, and point the partial views
+		// at the restored tangle. Reveal state reconstructs lazily — delivery
+		// times are pure, so the monotone predicate reveals exactly the set
+		// the uninterrupted run had accumulated.
 		a.pubSeq = st.PubSeq
 		a.deliveries = st.Deliveries
 		a.droppedDeliveries = st.Dropped
 		a.duplicatedDeliveries = st.Duplicated
 		a.txInfo = make(map[dag.ID]txDelivery, len(st.TxInfo))
 		for _, tx := range st.TxInfo {
-			a.txInfo[tx.ID] = txDelivery{pubSeq: tx.PubSeq, pubTime: tx.PubTime}
+			issuer := a.tangle.MustGet(tx.ID).Issuer
+			a.txInfo[tx.ID] = txDelivery{pubSeq: tx.PubSeq, pubTime: tx.PubTime,
+				linkVisibleAt: a.linkVisibleAt(tx.PubSeq, issuer, tx.PubTime)}
 		}
 		for _, c := range a.clients {
 			c.view = dag.NewView(a.tangle)
@@ -421,6 +424,9 @@ func ResumeAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig, r io.Reader
 			pubSeq:    p.PubSeq,
 			pubTime:   p.PubTime,
 		})
+		if a.net != nil {
+			a.pending[len(a.pending)-1].linkVisibleAt = a.linkVisibleAt(p.PubSeq, p.Issuer, p.PubTime)
+		}
 	}
 	return a, nil
 }

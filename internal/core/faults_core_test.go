@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,6 +152,93 @@ func TestCrashAnywhereResumeEquivalenceAsyncChaos(t *testing.T) {
 	for _, c := range ckpts {
 		resumeAsyncAndCompare(t, cfg, fedSeed, c.k, c.blob, refEvents, ref, refDAG)
 	}
+}
+
+// TestAsyncDeliveryTimesMatchModel pins the per-observer delivery times the
+// async engine computes once at publish: every stored time equals
+// Model.Deliver(...).VisibleAt for its (transaction, client) pair, in a
+// straight run and after ResumeAsyncSimulation recomputes them from the
+// checkpointed publish metadata, and a transaction's times are released only
+// once every client's view has revealed it.
+func TestAsyncDeliveryTimesMatchModel(t *testing.T) {
+	cfg := asyncConfig()
+	cfg.Duration = 15
+	cfg.NetworkDelay = 0
+	cfg.Faults = chaosFaults()
+	fedSeed := int64(430)
+
+	// check verifies the simulation's stored times and returns how many
+	// transactions hold times and how many have released them.
+	check := func(a *AsyncSimulation) (stored, released int) {
+		t.Helper()
+		verify := func(what string, pubSeq, issuer int, pubTime float64, times []float64) {
+			t.Helper()
+			if len(times) != len(a.clients) {
+				t.Fatalf("%s: %d delivery times for %d clients", what, len(times), len(a.clients))
+			}
+			for i, c := range a.clients {
+				if want := a.net.Deliver(pubSeq, issuer, c.id, pubTime).VisibleAt; times[i] != want {
+					t.Fatalf("%s: stored delivery time to client %d is %v, Model.Deliver gives %v", what, c.id, times[i], want)
+				}
+			}
+		}
+		for id, info := range a.txInfo {
+			if info.linkVisibleAt == nil {
+				for _, c := range a.clients {
+					if !c.view.IsVisible(id) {
+						t.Fatalf("tx %d released its delivery times before client %d's view revealed it", id, c.id)
+					}
+				}
+				released++
+				continue
+			}
+			verify(fmt.Sprintf("tx %d", id), info.pubSeq, a.tangle.MustGet(id).Issuer, info.pubTime, info.linkVisibleAt)
+			stored++
+		}
+		for i, p := range a.pending {
+			verify(fmt.Sprintf("pending %d", i), p.pubSeq, p.issuer, p.pubTime, p.linkVisibleAt)
+			stored++
+		}
+		return stored, released
+	}
+
+	a, err := NewAsyncSimulation(smallFed(fedSeed), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.net == nil {
+		t.Fatal("chaos schedule did not instantiate a fault model")
+	}
+	var ckpt bytes.Buffer
+	sawStored, sawReleased := false, false
+	for ev := a.step(); ev != nil; ev = a.step() {
+		stored, released := check(a)
+		sawStored = sawStored || stored > 0
+		sawReleased = sawReleased || released > 0
+		if ev.Seq == 10 {
+			if _, err := a.WriteCheckpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !sawStored || !sawReleased {
+		t.Fatalf("run never exercised both stored (%v) and released (%v) delivery times", sawStored, sawReleased)
+	}
+	if ckpt.Len() == 0 {
+		t.Fatal("run too short to checkpoint at event 10")
+	}
+
+	resumed, err := ResumeAsyncSimulation(smallFed(fedSeed), cfg, &ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, released := check(resumed); stored == 0 || released != 0 {
+		t.Fatalf("resume recomputed times for %d transactions and left %d released, want all of them recomputed", stored, released)
+	}
+	for resumed.step() != nil {
+		check(resumed)
+	}
+	check(resumed)
 }
 
 // TestSyncFaults pins the synchronous engine's fault semantics: churn skips

@@ -32,8 +32,8 @@ type View struct {
 	// visibleKids counts visible children per visible transaction, for O(1)
 	// tip maintenance.
 	visibleKids map[ID]int
-	// cursor is the next global insertion index not yet considered by
-	// RevealThrough.
+	// cursor is where RevealWhere's scan starts: every transaction below it
+	// is visible.
 	cursor ID
 }
 
@@ -77,31 +77,33 @@ func (v *View) Reveal(id ID) error {
 	return nil
 }
 
-// RevealWhere reveals, in insertion order, every not-yet-considered
-// transaction for which keep returns true. Transactions skipped by keep are
-// not reconsidered by later RevealWhere calls if their IDs are below an
-// already-revealed transaction's — callers should use monotone predicates
-// (e.g. "published in round <= r"), which is how dissemination delays work.
-// Transactions whose parents are not visible are skipped.
+// RevealWhere reveals, in insertion order, every not-yet-visible
+// transaction for which keep returns true; keep is not called for
+// transactions that are already visible. A transaction whose parents are not
+// visible is skipped. Every call reconsiders all not-yet-visible
+// transactions from the first one on, including those skipped below an
+// already-revealed transaction, so visibility need not follow insertion
+// order (a later transaction may be revealed before an earlier one, as
+// per-link jittered delivery requires). For views to reconstruct after a
+// resume, predicates should be monotone in time (e.g. "published in round
+// <= r"), which is how dissemination delays work.
 func (v *View) RevealWhere(keep func(*Transaction) bool) {
 	size := ID(v.d.Size())
 	for id := v.cursor; id < size; id++ {
-		tx := v.d.MustGet(id)
-		if !keep(tx) {
+		if v.visible[id] || !keep(v.d.MustGet(id)) {
 			continue
 		}
-		if err := v.Reveal(id); err != nil {
-			continue // parent invisible: arrives later
-		}
-		if id == v.cursor {
-			v.cursor++
-		}
+		_ = v.Reveal(id) // an error means a parent is invisible: reconsidered later
 	}
-	// Advance the cursor past any prefix that is fully visible.
+	// Advance the cursor past the fully visible prefix.
 	for v.cursor < size && v.visible[v.cursor] {
 		v.cursor++
 	}
 }
+
+// VisiblePrefix returns the ID below which every transaction is visible, as
+// of the last RevealWhere call: later calls never consult keep for those.
+func (v *View) VisiblePrefix() ID { return v.cursor }
 
 // NumVisible returns the number of visible transactions.
 func (v *View) NumVisible() int { return len(v.visible) }

@@ -123,6 +123,41 @@ func TestViewRevealWhereSkipsOrphans(t *testing.T) {
 	}
 }
 
+func TestViewRevealWhereOutOfOrder(t *testing.T) {
+	// Per-link jitter can deliver transaction 2 before transaction 1: a later
+	// call must still reconsider 1, and keep is never asked about visible
+	// transactions again.
+	d := New(nil)
+	a, _ := d.Add(1, 5, []ID{0, 0}, nil, Meta{})
+	b, _ := d.Add(2, 1, []ID{0, 0}, nil, Meta{})
+	v := NewView(d)
+	var asked []ID
+	keep := func(round int) func(*Transaction) bool {
+		return func(tx *Transaction) bool {
+			asked = append(asked, tx.ID)
+			return tx.Round <= round
+		}
+	}
+	v.RevealWhere(keep(1))
+	if v.IsVisible(a.ID) || !v.IsVisible(b.ID) {
+		t.Fatalf("after round 1: visible(1)=%v visible(2)=%v, want false true", v.IsVisible(a.ID), v.IsVisible(b.ID))
+	}
+	if p := v.VisiblePrefix(); p != a.ID {
+		t.Fatalf("visible prefix = %d, want %d", p, a.ID)
+	}
+	asked = nil
+	v.RevealWhere(keep(5))
+	if !v.IsVisible(a.ID) {
+		t.Fatal("transaction 1 was not reconsidered after transaction 2 became visible")
+	}
+	if len(asked) != 1 || asked[0] != a.ID {
+		t.Fatalf("keep consulted for %v, want only [%d]", asked, a.ID)
+	}
+	if p := v.VisiblePrefix(); p != ID(d.Size()) {
+		t.Fatalf("visible prefix = %d, want %d", p, d.Size())
+	}
+}
+
 func TestViewDepthsAndSampling(t *testing.T) {
 	d := New(nil)
 	prev := ID(0)

@@ -343,7 +343,10 @@ type Delivery struct {
 // at pubTime, to observer. It is a pure function of (model, pubSeq,
 // publisher, observer, pubTime) — the same arguments always produce the same
 // outcome, which is what makes fault schedules worker-count invariant and
-// checkpoint-resumable.
+// checkpoint-resumable. The async engine calls it once per (publish,
+// observer) pair, at publish time, and keeps the delivery time for the
+// observer's view; a resume recomputes those times from the checkpointed
+// publish metadata.
 //
 // The delivery time is pubTime + Delay, plus a per-link jitter draw, plus
 // one Retransmit period per lost gossip attempt; if the resulting arrival

@@ -15,20 +15,30 @@ import (
 )
 
 // RNG is a deterministic random source with helpers used across the
-// simulator. It is not safe for concurrent use; derive one RNG per goroutine
-// with Split.
+// simulator. Its stream is exactly math/rand's for the same seed, but the
+// source is seeded on the first draw, so creating (and splitting) an RNG
+// costs only a hash. It is not safe for concurrent use; derive one RNG per
+// goroutine with Split.
 type RNG struct {
 	seed int64
-	src  *rand.Rand
+	src  source
+	rnd  *rand.Rand // front end over src; nil until the first draw
 }
 
 // New returns an RNG seeded with seed.
-func New(seed int64) *RNG {
-	return &RNG{seed: seed, src: rand.New(rand.NewSource(seed))}
-}
+func New(seed int64) *RNG { return &RNG{seed: seed} }
 
 // Seed returns the seed this RNG was created with.
 func (r *RNG) Seed() int64 { return r.seed }
+
+// gen returns the math/rand front end, seeding the source on first use.
+func (r *RNG) gen() *rand.Rand {
+	if r.rnd == nil {
+		r.src.Seed(r.seed)
+		r.rnd = rand.New(&r.src)
+	}
+	return r.rnd
+}
 
 // Split derives an independent RNG from this RNG's seed and a name.
 // Splitting is a pure function of (seed, name): it does not advance or
@@ -62,21 +72,21 @@ func (r *RNG) SplitIndex(name string, index int) *RNG {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+func (r *RNG) Float64() float64 { return r.gen().Float64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
-func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
+func (r *RNG) Intn(n int) int { return r.gen().Intn(n) }
 
 // Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
+func (r *RNG) Int63() int64 { return r.gen().Int63() }
 
 // NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
+func (r *RNG) NormFloat64() float64 { return r.gen().NormFloat64() }
 
 // Normal returns a normal variate with the given mean and standard deviation.
 func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.src.NormFloat64()
+	return mean + std*r.gen().NormFloat64()
 }
 
 // NormalVec fills a new length-n vector with N(mean, std^2) variates.
@@ -89,13 +99,13 @@ func (r *RNG) NormalVec(n int, mean, std float64) []float64 {
 }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+func (r *RNG) Perm(n int) []int { return r.gen().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.gen().Shuffle(n, swap) }
 
 // Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
+func (r *RNG) Bool(p float64) bool { return r.gen().Float64() < p }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive.
 // It panics if hi < lo.
@@ -103,11 +113,11 @@ func (r *RNG) IntRange(lo, hi int) int {
 	if hi < lo {
 		panic("xrand: IntRange with hi < lo")
 	}
-	return lo + r.src.Intn(hi-lo+1)
+	return lo + r.gen().Intn(hi-lo+1)
 }
 
 // Choice returns a uniformly random index in [0, n).
-func (r *RNG) Choice(n int) int { return r.src.Intn(n) }
+func (r *RNG) Choice(n int) int { return r.gen().Intn(n) }
 
 // WeightedChoice returns an index sampled proportionally to weights.
 // Non-positive weights are treated as zero. If all weights are zero (or the
@@ -124,9 +134,9 @@ func (r *RNG) WeightedChoice(weights []float64) int {
 		}
 	}
 	if total <= 0 {
-		return r.src.Intn(len(weights))
+		return r.gen().Intn(len(weights))
 	}
-	x := r.src.Float64() * total
+	x := r.gen().Float64() * total
 	acc := 0.0
 	for i, w := range weights {
 		if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {
@@ -157,22 +167,22 @@ func (r *RNG) Gamma(shape float64) float64 {
 	}
 	if shape < 1 {
 		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a)
-		u := r.src.Float64()
+		u := r.gen().Float64()
 		for u == 0 {
-			u = r.src.Float64()
+			u = r.gen().Float64()
 		}
 		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
 	c := 1.0 / math.Sqrt(9*d)
 	for {
-		x := r.src.NormFloat64()
+		x := r.gen().NormFloat64()
 		v := 1 + c*x
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
-		u := r.src.Float64()
+		u := r.gen().Float64()
 		if u < 1-0.0331*x*x*x*x {
 			return d * v
 		}
