@@ -10,11 +10,16 @@ import (
 // KernelOrder guards the float-determinism contract of internal/mathx: the
 // default backend documents its accumulation order as API (kernels.go), so
 // every engine result is bit-identical across worker counts, batch shapes,
-// and releases. math.FMA contracts a multiply-add into one rounding step and
-// float32 arithmetic rounds to a different lattice entirely — either one in
-// a default-backend kernel silently changes every golden metric. The
+// CPUs and releases. math.FMA contracts a multiply-add into one rounding step
+// and float32 arithmetic rounds to a different lattice entirely — either one
+// in a default-backend kernel silently changes every golden metric. The
 // deliberate-numerics fast tier planned by the roadmap relaxes this under a
 // fastmath build tag, which this analyzer exempts.
+//
+// The analyzer reads Go source only. The same rule for the package's
+// assembly (no fused multiply-add mnemonic, no single-precision *PS/*SS
+// instruction) is enforced by TestAssemblyKeepsKernelOrder in
+// internal/mathx.
 var KernelOrder = &Analyzer{
 	Name: "kernelorder",
 	Doc: "forbid math.FMA and float32 arithmetic in the default mathx backend, " +

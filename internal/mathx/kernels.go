@@ -7,28 +7,51 @@ import "fmt"
 // # Float-determinism contract
 //
 // The accumulation order of every kernel in this file is part of its API:
-// each output element is produced by one scalar accumulator that consumes
-// its contributions in the same order as the per-sample reference loops
-// (Dot's ascending-index product sum, sample-ascending gradient
-// accumulation, output-ascending delta backpropagation), and zero
-// contributions are skipped exactly where the reference skips them.
-// Blocking is only applied across independent output elements (e.g. four
-// samples sharing one weight-row sweep), never inside one element's sum, so
-// results are bit-identical to the scalar loops — the property the
-// simulation's worker-count invariance, checkpoint resume, and the CI
-// metric gate (cmd/benchgate) all rest on. Any change to these loop orders
-// is a numerics change, even if it is algebraically neutral.
+// each output element is produced by one accumulator that consumes its
+// contributions in the same order as the per-sample reference loops (Dot's
+// ascending-index product sum, sample-ascending gradient accumulation,
+// output-ascending delta backpropagation), and zero contributions are
+// skipped exactly where the reference skips them. Every multiply and every
+// add is rounded on its own: there is no fused multiply-add anywhere, and
+// everything is float64. Results are therefore bit-identical to the scalar
+// loops — the property the simulation's worker-count invariance, checkpoint
+// resume, and the CI metric gate (cmd/benchgate) all rest on. Any change to
+// these loop orders is a numerics change, even if it is algebraically
+// neutral.
+//
+// The kernels are written once, on two primitives (lanes.go): dotLanes
+// sweeps up to eight rows, transposed into lanes, through a pair of weight
+// rows, and axpy4/axpy1 apply four (or one) scaled rows to a vector in
+// order. On amd64 the primitives run 256-bit AVX bodies (lanes_amd64.s),
+// chosen once from a CPUID/XGETBV check:
+//
+//   - A SIMD lane is always one independent output element with its own
+//     accumulator, never a split of one element's sum.
+//   - AVX1 only: VMULPD then VADDPD, never FMA, never single precision.
+//     TestAssemblyKeepsKernelOrder enforces this on the assembly.
+//   - Scalar tails use the VEX-encoded scalar forms (VMOVSD, VMULSD,
+//     VADDSD) of the same operations.
+//
+// The AVX bodies therefore compute exactly what the portable Go bodies
+// compute. Builds with the race tag run the portable bodies, because the
+// race detector cannot see memory accessed from assembly; so do other
+// architectures and CPUs without AVX.
+
+// laneChunk is how many input columns AffineRows transposes at a time; the
+// lane buffer (laneChunk*8 float64s) lives on the stack.
+const laneChunk = 128
 
 // AffineRows computes the dense-layer pre-activations for a whole batch:
 //
 //	out[r][o] = b[o] + sum_i x[r][i] * w[o*x.Cols+i]
 //
 // w is row-major [len(b)][x.Cols] — the layer's weight matrix. For each
-// (r, o) the product sum runs over ascending i into a single accumulator and
-// the bias is added after the sum, exactly like b[o] + Dot(wRow, xRow).
-// Rows are processed in blocks that share each weight-row sweep (the cache
-// win of batching); each row keeps its own accumulator, so blocking does not
-// alter any element's accumulation order.
+// (r, o) the product sum runs over ascending i into a single accumulator
+// starting from +0, and the bias is added after the sum, exactly like
+// b[o] + Dot(wRow, xRow). Rows are taken in blocks of eight lanes (four
+// when at most four rows remain) that share each weight-row sweep; each
+// lane is one row's accumulator, so blocking does not alter any element's
+// accumulation order.
 func AffineRows(x Matrix, w, b []float64, out Matrix) {
 	affineRows(x, w, b, out, false)
 }
@@ -48,101 +71,57 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 	if out.Rows != x.Rows || out.Cols != outDim {
 		panic(fmt.Sprintf("mathx: AffineRows out %dx%d, want %dx%d", out.Rows, out.Cols, x.Rows, outDim))
 	}
-	r := 0
-	// Eight samples per weight-row sweep: each output element keeps its own
-	// serial accumulator (the order contract), and eight independent add
-	// chains are enough to hide scalar FP-add latency on current cores.
-	for ; r+8 <= x.Rows; r += 8 {
-		x0, x1, x2, x3 := x.Row(r)[:in], x.Row(r + 1)[:in], x.Row(r + 2)[:in], x.Row(r + 3)[:in]
-		x4, x5, x6, x7 := x.Row(r + 4)[:in], x.Row(r + 5)[:in], x.Row(r + 6)[:in], x.Row(r + 7)[:in]
-		o0, o1, o2, o3 := out.Row(r)[:outDim], out.Row(r + 1)[:outDim], out.Row(r + 2)[:outDim], out.Row(r + 3)[:outDim]
-		o4, o5, o6, o7 := out.Row(r + 4)[:outDim], out.Row(r + 5)[:outDim], out.Row(r + 6)[:outDim], out.Row(r + 7)[:outDim]
-		for o := 0; o < outDim; o++ {
-			row := w[o*in : o*in+in]
-			x0, x1, x2, x3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
-			x4, x5, x6, x7 := x4[:len(row)], x5[:len(row)], x6[:len(row)], x7[:len(row)]
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for i, wv := range row {
-				a0 += x0[i] * wv
-				a1 += x1[i] * wv
-				a2 += x2[i] * wv
-				a3 += x3[i] * wv
-				a4 += x4[i] * wv
-				a5 += x5[i] * wv
-				a6 += x6[i] * wv
-				a7 += x7[i] * wv
-			}
-			bo := b[o]
-			a0, a1, a2, a3 = bo+a0, bo+a1, bo+a2, bo+a3
-			a4, a5, a6, a7 = bo+a4, bo+a5, bo+a6, bo+a7
-			if relu {
-				a0, a1, a2, a3 = clamp0(a0), clamp0(a1), clamp0(a2), clamp0(a3)
-				a4, a5, a6, a7 = clamp0(a4), clamp0(a5), clamp0(a6), clamp0(a7)
-			}
-			o0[o], o1[o], o2[o], o3[o] = a0, a1, a2, a3
-			o4[o], o5[o], o6[o], o7[o] = a4, a5, a6, a7
+	var xt [laneChunk * 8]float64
+	for r := 0; r < x.Rows; {
+		lanes := 8
+		if x.Rows-r <= 4 {
+			lanes = 4
 		}
-	}
-	for ; r+4 <= x.Rows; r += 4 {
-		// The [:in] re-slices pin every row's length to the loop bound so
-		// the compiler drops the per-element bounds checks.
-		x0, x1, x2, x3 := x.Row(r)[:in], x.Row(r + 1)[:in], x.Row(r + 2)[:in], x.Row(r + 3)[:in]
-		o0, o1, o2, o3 := out.Row(r)[:outDim], out.Row(r + 1)[:outDim], out.Row(r + 2)[:outDim], out.Row(r + 3)[:outDim]
-		for o := 0; o < outDim; o++ {
-			row := w[o*in : o*in+in]
-			x0, x1, x2, x3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
-			var a0, a1, a2, a3 float64
-			for i, wv := range row {
-				a0 += x0[i] * wv
-				a1 += x1[i] * wv
-				a2 += x2[i] * wv
-				a3 += x3[i] * wv
+		live := min(lanes, x.Rows-r)
+		od := out.Data[r*outDim : (r+live)*outDim]
+		// One pass per chunk of columns; an empty input still takes one
+		// (empty) pass so every output gets b[o] + 0. Between chunks each
+		// element's running sum is parked in out, which is exact.
+		for c0 := 0; c0 == 0 || c0 < in; c0 += laneChunk {
+			n := min(laneChunk, in-c0)
+			t := xt[:n*lanes]
+			for l := 0; l < lanes; l++ {
+				// Padded lanes are computed and discarded; zeroing them keeps
+				// stale values (subnormals, NaNs) out of the arithmetic.
+				if l >= live {
+					for i := l; i < len(t); i += lanes {
+						t[i] = 0
+					}
+					continue
+				}
+				for i, v := range x.Data[(r+l)*in+c0 : (r+l)*in+c0+n] {
+					t[i*lanes+l] = v
+				}
 			}
-			bo := b[o]
-			a0, a1, a2, a3 = bo+a0, bo+a1, bo+a2, bo+a3
-			if relu {
-				a0, a1, a2, a3 = clamp0(a0), clamp0(a1), clamp0(a2), clamp0(a3)
+			last := c0+n == in
+			for o := 0; o < outDim; o += 2 {
+				// An odd last output pairs with itself; both halves agree.
+				o1 := min(o+1, outDim-1)
+				var acc [16]float64
+				if c0 > 0 {
+					for l := 0; l < live; l++ {
+						acc[l], acc[8+l] = od[l*outDim+o], od[l*outDim+o1]
+					}
+				}
+				dotLanes(t, w[o*in+c0:o*in+c0+n], w[o1*in+c0:o1*in+c0+n], &acc, lanes)
+				for l := 0; l < live; l++ {
+					s0, s1 := acc[l], acc[8+l]
+					if last {
+						s0, s1 = b[o]+s0, b[o1]+s1
+						if relu {
+							s0, s1 = clamp0(s0), clamp0(s1)
+						}
+					}
+					od[l*outDim+o], od[l*outDim+o1] = s0, s1
+				}
 			}
-			o0[o], o1[o], o2[o], o3[o] = a0, a1, a2, a3
 		}
-	}
-	// Remainder rows: a single row is one serial add chain per output, so
-	// block over four outputs instead — four independent accumulators keep
-	// the FP units busy while each element's sum order stays Dot's.
-	for ; r < x.Rows; r++ {
-		xr, or := x.Row(r)[:in], out.Row(r)[:outDim]
-		o := 0
-		for ; o+4 <= outDim; o += 4 {
-			w0 := w[o*in : o*in+in]
-			w1, w2, w3 := w[(o+1)*in:(o+2)*in], w[(o+2)*in:(o+3)*in], w[(o+3)*in:(o+4)*in]
-			w1, w2, w3 = w1[:len(w0)], w2[:len(w0)], w3[:len(w0)]
-			xr := xr[:len(w0)]
-			var a0, a1, a2, a3 float64
-			for i, xv := range xr {
-				a0 += xv * w0[i]
-				a1 += xv * w1[i]
-				a2 += xv * w2[i]
-				a3 += xv * w3[i]
-			}
-			a0, a1, a2, a3 = b[o]+a0, b[o+1]+a1, b[o+2]+a2, b[o+3]+a3
-			if relu {
-				a0, a1, a2, a3 = clamp0(a0), clamp0(a1), clamp0(a2), clamp0(a3)
-			}
-			or[o], or[o+1], or[o+2], or[o+3] = a0, a1, a2, a3
-		}
-		for ; o < outDim; o++ {
-			row := w[o*in : o*in+in]
-			xr := xr[:len(row)]
-			var acc float64
-			for i, wv := range row {
-				acc += xr[i] * wv
-			}
-			acc = b[o] + acc
-			if relu {
-				acc = clamp0(acc)
-			}
-			or[o] = acc
-		}
+		r += live
 	}
 }
 
@@ -209,59 +188,32 @@ func AccumGrads(delta, act Matrix, wg, bg []float64) {
 	if len(wg) != in*outDim || len(bg) != outDim {
 		panic(fmt.Sprintf("mathx: AccumGrads wg %d, bg %d, want %dx%d and %d", len(wg), len(bg), outDim, in, outDim))
 	}
-	rows := delta.Rows
 	dd := delta.Data
 	for o := 0; o < outDim; o++ {
 		wrow := wg[o*in : o*in+in]
-		r := 0
-		// Four samples per weight-row sweep: one pass over wrow applies the
-		// four contributions as consecutive scalar adds — the same ordered
-		// sequence the per-sample loop produces, at a quarter of the wg
-		// memory traffic. Any exact-zero delta falls back to the per-sample
-		// loop so the reference's skip is reproduced faithfully.
-		for ; r+4 <= rows; r += 4 {
-			d0, d1, d2, d3 := dd[r*outDim+o], dd[(r+1)*outDim+o], dd[(r+2)*outDim+o], dd[(r+3)*outDim+o]
-			if d0 != 0 && d1 != 0 && d2 != 0 && d3 != 0 {
-				bo := bg[o]
-				bo += d0
-				bo += d1
-				bo += d2
-				bo += d3
-				bg[o] = bo
-				a0 := act.Row(r)[:len(wrow)]
-				a1 := act.Row(r + 1)[:len(wrow)]
-				a2 := act.Row(r + 2)[:len(wrow)]
-				a3 := act.Row(r + 3)[:len(wrow)]
-				for i := range wrow {
-					t := wrow[i]
-					t += d0 * a0[i]
-					t += d1 * a1[i]
-					t += d2 * a2[i]
-					t += d3 * a3[i]
-					wrow[i] = t
-				}
+		bo := bg[o]
+		// Skip the zero deltas first, then apply the surviving samples four
+		// at a time: each element still takes every non-zero sample's
+		// product in ascending sample order, one rounded add at a time.
+		var a [4][]float64
+		var d [4]float64
+		k := 0
+		for r := 0; r < delta.Rows; r++ {
+			dv := dd[r*outDim+o]
+			if dv == 0 {
 				continue
 			}
-			for k := 0; k < 4; k++ {
-				accumGradRow(dd[(r+k)*outDim+o], act.Row(r+k), wrow, bg, o)
+			bo += dv
+			a[k], d[k] = act.Data[r*in:r*in+in], dv
+			if k++; k == 4 {
+				axpy4(wrow, a[0], a[1], a[2], a[3], &d)
+				k = 0
 			}
 		}
-		for ; r < rows; r++ {
-			accumGradRow(dd[r*outDim+o], act.Row(r), wrow, bg, o)
+		for j := 0; j < k; j++ {
+			axpy1(wrow, a[j], d[j])
 		}
-	}
-}
-
-// accumGradRow applies one sample's contribution to a weight row and its
-// bias gradient, skipping exact zeros like the per-sample reference.
-func accumGradRow(d float64, actRow, wrow []float64, bg []float64, o int) {
-	if d == 0 {
-		return
-	}
-	bg[o] += d
-	actRow = actRow[:len(wrow)]
-	for i, av := range actRow {
-		wrow[i] += d * av
+		bg[o] = bo
 	}
 }
 
@@ -286,15 +238,23 @@ func BackpropReLUDelta(delta Matrix, w []float64, act, prev Matrix) {
 	for r := 0; r < delta.Rows; r++ {
 		pr := prev.Row(r)[:in]
 		Fill(pr, 0)
-		for o, d := range delta.Row(r) {
-			if d == 0 {
+		// As in AccumGrads: non-zero output deltas in ascending order, four
+		// weight rows per sweep of pr.
+		var a [4][]float64
+		var d [4]float64
+		k := 0
+		for o, dv := range delta.Row(r) {
+			if dv == 0 {
 				continue
 			}
-			wrow := w[o*in : o*in+in]
-			pr := pr[:len(wrow)]
-			for i, wv := range wrow {
-				pr[i] += d * wv
+			a[k], d[k] = w[o*in:o*in+in], dv
+			if k++; k == 4 {
+				axpy4(pr, a[0], a[1], a[2], a[3], &d)
+				k = 0
 			}
+		}
+		for j := 0; j < k; j++ {
+			axpy1(pr, a[j], d[j])
 		}
 		ar := act.Row(r)[:in]
 		for i, v := range ar {

@@ -95,47 +95,66 @@ func TestGatherRows(t *testing.T) {
 	}
 }
 
+// Kernel shapes for the differential tests: every row count up to two full
+// eight-lane blocks plus one, input widths on both sides of the lane
+// buffer's laneChunk columns, and odd and even output widths.
+var (
+	kernelRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	kernelIns  = []int{0, 1, 7, 127, 128, 129, 300}
+	kernelOuts = []int{1, 4, 5, 10}
+)
+
 // TestAffineRowsMatchesDot pins the float-determinism contract: every batch
-// row must equal b[o] + Dot(wRow, xRow) bit for bit, across the blocked
-// (>= 4 rows) and the remainder paths.
+// row must equal b[o] + Dot(wRow, xRow) bit for bit, on every kernel path,
+// for 8- and 4-lane blocks, padded lanes and multi-chunk inputs.
 func TestAffineRowsMatchesDot(t *testing.T) {
 	g := lcg(1)
-	for _, rows := range []int{1, 2, 3, 4, 5, 8, 11} {
-		x := randMatrix(&g, rows, 7)
-		w := randVec(&g, 5*7)
-		b := randVec(&g, 5)
-		out := NewMatrix(rows, 5)
-		AffineRows(x, w, b, out)
-		for r := 0; r < rows; r++ {
-			for o := 0; o < 5; o++ {
-				want := b[o] + Dot(w[o*7:(o+1)*7], x.Row(r))
-				if got := out.Row(r)[o]; got != want {
-					t.Fatalf("rows=%d: out[%d][%d] = %v, want %v (bitwise)", rows, r, o, got, want)
+	forEachPath(func(path string) {
+		for _, rows := range kernelRows {
+			for _, in := range kernelIns {
+				for _, outDim := range kernelOuts {
+					x := randMatrix(&g, rows, in)
+					w := randVec(&g, outDim*in)
+					b := randVec(&g, outDim)
+					out := NewMatrix(rows, outDim)
+					AffineRows(x, w, b, out)
+					for r := 0; r < rows; r++ {
+						for o := 0; o < outDim; o++ {
+							want := b[o] + Dot(w[o*in:(o+1)*in], x.Row(r))
+							if got := out.Row(r)[o]; got != want {
+								t.Fatalf("%s %dx%d->%d: out[%d][%d] = %v, want %v (bitwise)", path, rows, in, outDim, r, o, got, want)
+							}
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestAffineRowsReLUMatchesTwoPass pins the fused variant bit-identical to
-// AffineRows followed by ReLURows, across the blocked and remainder paths.
+// AffineRows followed by ReLURows, on every kernel path.
 func TestAffineRowsReLUMatchesTwoPass(t *testing.T) {
 	g := lcg(9)
-	for _, rows := range []int{1, 3, 4, 7, 8, 9, 16, 21} {
-		x := randMatrix(&g, rows, 6)
-		w := randVec(&g, 5*6)
-		b := randVec(&g, 5)
-		fused := NewMatrix(rows, 5)
-		AffineRowsReLU(x, w, b, fused)
-		twoPass := NewMatrix(rows, 5)
-		AffineRows(x, w, b, twoPass)
-		ReLURows(twoPass)
-		for i := range fused.Data {
-			if fused.Data[i] != twoPass.Data[i] {
-				t.Fatalf("rows=%d: fused ReLU diverges at %d: %v vs %v", rows, i, fused.Data[i], twoPass.Data[i])
+	forEachPath(func(path string) {
+		for _, rows := range []int{1, 3, 4, 7, 8, 9, 16, 21} {
+			for _, in := range []int{6, 129} {
+				x := randMatrix(&g, rows, in)
+				w := randVec(&g, 5*in)
+				b := randVec(&g, 5)
+				fused := NewMatrix(rows, 5)
+				AffineRowsReLU(x, w, b, fused)
+				twoPass := NewMatrix(rows, 5)
+				AffineRows(x, w, b, twoPass)
+				ReLURows(twoPass)
+				for i := range fused.Data {
+					if fused.Data[i] != twoPass.Data[i] {
+						t.Fatalf("%s rows=%d in=%d: fused ReLU diverges at %d: %v vs %v", path, rows, in, i, fused.Data[i], twoPass.Data[i])
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestReLUAndSoftmaxRowsMatchScalar(t *testing.T) {
@@ -179,84 +198,121 @@ func TestSoftmaxCEDelta(t *testing.T) {
 	}
 }
 
+// sparseDeltas returns a rows x cols delta matrix with ReLU-like exact
+// zeros: about a third at random, plus every element whose position in an
+// aligned block of four (along the kernel's blocking axis) equals hole.
+func sparseDeltas(g *lcg, rows, cols, hole int, alongRows bool) Matrix {
+	d := randMatrix(g, rows, cols)
+	for r := 0; r < rows; r++ {
+		for o := 0; o < cols; o++ {
+			pos := o
+			if alongRows {
+				pos = r
+			}
+			if pos%4 == hole || g.next() < -1.0/3 {
+				d.Row(r)[o] = 0
+			}
+		}
+	}
+	return d
+}
+
 // TestAccumGradsMatchesPerSample pins bit-identity of the batched gradient
 // accumulation against the sample-by-sample reference order, including the
-// zero-delta skip.
+// zero-delta skip at every position of a four-sample block, on every
+// kernel path.
 func TestAccumGradsMatchesPerSample(t *testing.T) {
 	g := lcg(3)
-	const rows, in, out = 9, 6, 4
-	delta := randMatrix(&g, rows, out)
-	act := randMatrix(&g, rows, in)
-	// Inject exact zeros to exercise the skip path.
-	delta.Row(0)[1] = 0
-	delta.Row(4)[0] = 0
+	forEachPath(func(path string) {
+		for _, rows := range kernelRows {
+			for _, in := range kernelIns {
+				for _, out := range kernelOuts {
+					for hole := 0; hole <= 4; hole++ {
+						delta := sparseDeltas(&g, rows, out, hole, true)
+						act := randMatrix(&g, rows, in)
+						wg := randVec(&g, in*out)
+						bg := randVec(&g, out)
+						wantWG := CloneVec(wg)
+						wantBG := CloneVec(bg)
 
-	wg := randVec(&g, in*out)
-	bg := randVec(&g, out)
-	wantWG := CloneVec(wg)
-	wantBG := CloneVec(bg)
+						// Reference: per-sample accumulation exactly as MLP.backward orders it.
+						for r := 0; r < rows; r++ {
+							for o := 0; o < out; o++ {
+								d := delta.Row(r)[o]
+								if d == 0 {
+									continue
+								}
+								wantBG[o] += d
+								Axpy(d, act.Row(r), wantWG[o*in:(o+1)*in])
+							}
+						}
 
-	// Reference: per-sample accumulation exactly as MLP.backward orders it.
-	for r := 0; r < rows; r++ {
-		for o := 0; o < out; o++ {
-			d := delta.Row(r)[o]
-			if d == 0 {
-				continue
+						AccumGrads(delta, act, wg, bg)
+						for i := range wantWG {
+							if wg[i] != wantWG[i] {
+								t.Fatalf("%s %dx%d->%d hole %d: weight grad %d: %v != %v (bitwise)", path, rows, in, out, hole, i, wg[i], wantWG[i])
+							}
+						}
+						for i := range wantBG {
+							if bg[i] != wantBG[i] {
+								t.Fatalf("%s %dx%d->%d hole %d: bias grad %d: %v != %v (bitwise)", path, rows, in, out, hole, i, bg[i], wantBG[i])
+							}
+						}
+					}
+				}
 			}
-			wantBG[o] += d
-			Axpy(d, act.Row(r), wantWG[o*in:(o+1)*in])
 		}
-	}
-
-	AccumGrads(delta, act, wg, bg)
-	for i := range wantWG {
-		if wg[i] != wantWG[i] {
-			t.Fatalf("weight grad %d: %v != %v (bitwise)", i, wg[i], wantWG[i])
-		}
-	}
-	for i := range wantBG {
-		if bg[i] != wantBG[i] {
-			t.Fatalf("bias grad %d: %v != %v (bitwise)", i, bg[i], wantBG[i])
-		}
-	}
+	})
 }
 
 // TestBackpropReLUDeltaMatchesPerSample pins the batched delta propagation
-// (including the ReLU mask) against the scalar reference.
+// (including the ReLU mask and the zero-delta skip at every position of a
+// four-output block) against the scalar reference, on every kernel path.
 func TestBackpropReLUDeltaMatchesPerSample(t *testing.T) {
 	g := lcg(4)
-	const rows, in, out = 7, 5, 3
-	delta := randMatrix(&g, rows, out)
-	delta.Row(2)[1] = 0
-	w := randVec(&g, in*out)
-	act := randMatrix(&g, rows, in)
-	// Exact non-positives exercise the mask.
-	act.Row(1)[0] = 0
-	act.Row(3)[4] = -0.5
+	forEachPath(func(path string) {
+		for _, rows := range kernelRows {
+			for _, in := range kernelIns {
+				for _, out := range kernelOuts {
+					for hole := 0; hole <= 4; hole++ {
+						delta := sparseDeltas(&g, rows, out, hole, false)
+						w := randVec(&g, in*out)
+						act := randMatrix(&g, rows, in)
+						// Exact zeros and negatives exercise the mask.
+						for i := range act.Data {
+							if i%5 == 0 {
+								act.Data[i] = 0
+							}
+						}
 
-	prev := NewMatrix(rows, in)
-	BackpropReLUDelta(delta, w, act, prev)
+						prev := NewMatrix(rows, in)
+						BackpropReLUDelta(delta, w, act, prev)
 
-	for r := 0; r < rows; r++ {
-		want := make([]float64, in)
-		for o := 0; o < out; o++ {
-			d := delta.Row(r)[o]
-			if d == 0 {
-				continue
+						for r := 0; r < rows; r++ {
+							want := make([]float64, in)
+							for o := 0; o < out; o++ {
+								d := delta.Row(r)[o]
+								if d == 0 {
+									continue
+								}
+								Axpy(d, w[o*in:(o+1)*in], want)
+							}
+							for i, v := range act.Row(r) {
+								if v <= 0 {
+									want[i] = 0
+								}
+							}
+							for i := range want {
+								if prev.Row(r)[i] != want[i] {
+									t.Fatalf("%s %dx%d->%d hole %d: row %d elem %d: %v != %v (bitwise)", path, rows, in, out, hole, r, i, prev.Row(r)[i], want[i])
+								}
+							}
+						}
+					}
+				}
 			}
-			Axpy(d, w[o*in:(o+1)*in], want)
 		}
-		for i, v := range act.Row(r) {
-			if v <= 0 {
-				want[i] = 0
-			}
-		}
-		for i := range want {
-			if prev.Row(r)[i] != want[i] {
-				t.Fatalf("row %d elem %d: %v != %v (bitwise)", r, i, prev.Row(r)[i], want[i])
-			}
-		}
-	}
+	})
 }
 
 func TestKernelShapePanics(t *testing.T) {
@@ -282,30 +338,32 @@ func TestKernelShapePanics(t *testing.T) {
 	}
 }
 
-// TestAffineRowsBlockedEqualsRemainder cross-checks that the 4-row blocked
-// path and the scalar remainder path agree bitwise for identical rows.
+// TestAffineRowsBlockedEqualsRemainder cross-checks that an 8-lane block, a
+// 4-lane block and a padded lane agree bitwise for identical rows.
 func TestAffineRowsBlockedEqualsRemainder(t *testing.T) {
 	g := lcg(5)
 	row := randVec(&g, 6)
 	w := randVec(&g, 4*6)
 	b := randVec(&g, 4)
-	// 5 identical rows: rows 0-3 go through the blocked path, row 4 through
-	// the remainder path.
-	x := NewMatrix(5, 6)
-	for r := 0; r < 5; r++ {
+	// 11 identical rows: rows 0-7 form an 8-lane block, rows 8-10 a 4-lane
+	// block with one padded lane.
+	x := NewMatrix(11, 6)
+	for r := 0; r < 11; r++ {
 		copy(x.Row(r), row)
 	}
-	out := NewMatrix(5, 4)
-	AffineRows(x, w, b, out)
-	for r := 1; r < 5; r++ {
-		for o := 0; o < 4; o++ {
-			if out.Row(r)[o] != out.Row(0)[o] {
-				t.Fatalf("row %d diverges from row 0 at %d: %v vs %v — blocked and remainder paths disagree",
-					r, o, out.Row(r)[o], out.Row(0)[o])
+	forEachPath(func(path string) {
+		out := NewMatrix(11, 4)
+		AffineRows(x, w, b, out)
+		for r := 1; r < 11; r++ {
+			for o := 0; o < 4; o++ {
+				if out.Row(r)[o] != out.Row(0)[o] {
+					t.Fatalf("%s: row %d diverges from row 0 at %d: %v vs %v — 8-lane and 4-lane blocks disagree",
+						path, r, o, out.Row(r)[o], out.Row(0)[o])
+				}
 			}
 		}
-	}
-	if math.IsNaN(out.Row(0)[0]) {
-		t.Fatal("unexpected NaN")
-	}
+		if math.IsNaN(out.Row(0)[0]) {
+			t.Fatal("unexpected NaN")
+		}
+	})
 }
